@@ -73,7 +73,7 @@ pub use error::CoreError;
 pub use ftc::{build_ftc, build_ftc_with, CutsetModel, FtcContext, TriggerTreatment};
 pub use pipeline::{
     analyze, analyze_horizons, AnalysisOptions, AnalysisResult, AnalysisStats, CutsetReport,
-    FilterShardStats, Timings,
+    FilterTotals, Timings,
 };
 pub use planner::{
     draft_plan, estimate_nodes, structural_upper_bound, AnalysisPlan, BackendChoice,

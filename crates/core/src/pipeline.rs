@@ -10,7 +10,7 @@ use crate::translate::translate;
 use crate::worstcase::worst_case_probabilities;
 use sdft_bdd::ModularBddOptions;
 use sdft_ctmc::SolverWorkspace;
-use sdft_ft::{Cutset, EventProbabilities, FallbackMode, FaultTree};
+use sdft_ft::{Cutset, EventProbabilities, FaultTree};
 use sdft_mocus::MocusOptions;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -68,17 +68,6 @@ pub struct AnalysisOptions {
     /// models quantified, cache hit rate). `None` (the default) costs
     /// nothing; ignored by the batch path.
     pub progress: Option<Duration>,
-    /// Shard count of the streaming subsumption filter. `0` (the
-    /// default) picks automatically: one shard when `threads <= 1`
-    /// (everything stays inline on the filter thread), otherwise up to
-    /// four shard workers. Any shard count produces bitwise-identical
-    /// results; ignored by the batch path.
-    pub filter_shards: usize,
-    /// When the streaming filter buffers an epoch for a one-pass batch
-    /// merge instead of probing incrementally (default
-    /// [`FallbackMode::Adaptive`]). Results are bitwise-identical in
-    /// every mode; ignored by the batch path.
-    pub filter_fallback: FallbackMode,
 }
 
 impl AnalysisOptions {
@@ -98,8 +87,6 @@ impl AnalysisOptions {
             steady_state_detection: true,
             streaming: true,
             progress: None,
-            filter_shards: 0,
-            filter_fallback: FallbackMode::Adaptive,
         }
     }
 }
@@ -161,8 +148,9 @@ pub struct Timings {
     /// the calling thread; equals `mcs_generation` when streaming).
     pub generation_busy: Duration,
     /// Busy seconds of the streaming filter stage: time actually spent
-    /// minimizing and releasing candidates, excluding channel waits
-    /// (zero for the batch path, whose minimization is inside MOCUS).
+    /// minimizing and releasing candidates, excluding waits on the
+    /// generator channel and on a full quantification channel. For the
+    /// batch path, the one-pass minimize inside generation.
     pub filter_busy: Duration,
     /// Busy seconds summed over quantification workers: time spent
     /// solving models, excluding channel waits. Exceeds wall-clock
@@ -177,15 +165,14 @@ pub struct Timings {
     pub total: Duration,
 }
 
-/// Per-shard counters of the streaming subsumption filter, aggregated
-/// over every epoch the shard minimized. All scheduling-dependent: the
-/// split of probes across shards follows the deterministic shard key,
-/// but the counts themselves depend on candidate arrival order.
+/// Counters of the streaming subsumption filter, summed over every
+/// epoch it minimized. All scheduling-dependent: the counts depend on
+/// candidate arrival order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FilterShardStats {
-    /// Candidates routed to this shard.
+pub struct FilterTotals {
+    /// Candidates offered to the filter.
     pub offered: u64,
-    /// Subset tests the shard performed.
+    /// Subset tests the filter performed.
     pub probes: u64,
     /// Candidates rejected as duplicates or subsumed.
     pub rejects: u64,
@@ -193,12 +180,12 @@ pub struct FilterShardStats {
     pub evictions: u64,
     /// Deferred-eviction sweeps run at compaction points.
     pub compactions: u64,
-    /// Epochs this shard minimized through the batch fallback.
+    /// Epochs minimized through the batch fallback.
     pub fallback_epochs: u64,
 }
 
-impl FilterShardStats {
-    /// Fold one epoch's filter counters into the shard totals.
+impl FilterTotals {
+    /// Fold one epoch's filter counters into the totals.
     pub(crate) fn absorb(&mut self, stats: sdft_ft::FilterStats) {
         self.offered += stats.offered;
         self.probes += stats.probes;
@@ -278,14 +265,9 @@ pub struct AnalysisStats {
     pub mocus_peak_live_candidates: u64,
     /// Approximate peak bytes held by resident candidates.
     pub mocus_peak_candidate_bytes: u64,
-    /// Shard count of the streaming subsumption filter (0 for the batch
-    /// path, which minimizes in one pass inside generation).
-    pub filter_shards: usize,
-    /// Epochs the streaming filter minimized through the batch fallback,
-    /// summed over shards (scheduling-dependent under `Adaptive`).
-    pub filter_fallback_epochs: u64,
-    /// Per-shard filter counters, in shard order (empty for batch).
-    pub filter_shard_stats: Vec<FilterShardStats>,
+    /// Streaming filter counters (all zero for the batch path, which
+    /// minimizes in one pass inside generation).
+    pub filter_totals: FilterTotals,
     /// Which backend generated the cutsets.
     pub backend: Backend,
     /// Independent modules of `FT̄` the BDD backend built a diagram for
@@ -368,9 +350,7 @@ impl AnalysisStats {
         self.mocus_peak_partial_bytes = 0;
         self.mocus_peak_live_candidates = 0;
         self.mocus_peak_candidate_bytes = 0;
-        self.filter_shards = 0;
-        self.filter_fallback_epochs = 0;
-        self.filter_shard_stats = Vec::new();
+        self.filter_totals = FilterTotals::default();
         self
     }
 }
@@ -623,7 +603,7 @@ pub fn analyze_horizons(
             cache_stats: engine.cache_stats,
             kernel_usage: engine.kernel_usage,
             gen_stats: engine.gen_stats,
-            subsumption_comparisons: engine.subsumption_comparisons,
+            subsumption_comparisons: engine.filter_totals.probes,
             peak_pending_cutsets: engine.peak_pending_cutsets,
             peak_inflight_models: engine.peak_inflight_models,
             mcs_time: engine.generation_span,
@@ -632,13 +612,7 @@ pub fn analyze_horizons(
             generation_busy: engine.generation_span,
             filter_busy: engine.filter_busy,
             quant_busy: engine.quant_busy,
-            filter_shards: engine.filter_shards,
-            filter_fallback_epochs: engine
-                .filter_shard_stats
-                .iter()
-                .map(|s| s.fallback_epochs)
-                .sum(),
-            filter_shard_stats: engine.filter_shard_stats,
+            filter_totals: engine.filter_totals,
         }
     } else {
         let t2 = Instant::now();
@@ -671,9 +645,7 @@ pub fn analyze_horizons(
             generation_busy: mcs_time.saturating_sub(minimize_time),
             filter_busy: minimize_time,
             quant_busy,
-            filter_shards: 0,
-            filter_fallback_epochs: 0,
-            filter_shard_stats: Vec::new(),
+            filter_totals: FilterTotals::default(),
         }
     };
     let PhaseOutput {
@@ -690,9 +662,7 @@ pub fn analyze_horizons(
         generation_busy,
         filter_busy,
         quant_busy,
-        filter_shards,
-        filter_fallback_epochs,
-        filter_shard_stats,
+        filter_totals,
     } = phase;
     let mocus_stats = &gen_stats.mocus;
 
@@ -734,9 +704,7 @@ pub fn analyze_horizons(
             mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
             mocus_peak_live_candidates: mocus_stats.peak_live_candidates,
             mocus_peak_candidate_bytes: mocus_stats.peak_candidate_bytes,
-            filter_shards,
-            filter_fallback_epochs,
-            filter_shard_stats: filter_shard_stats.clone(),
+            filter_totals,
             backend: options.backend,
             ..AnalysisStats::default()
         };
@@ -822,17 +790,13 @@ struct PhaseOutput {
     /// Generation busy seconds: the generation span when streaming, the
     /// enumeration minus the one-pass minimize for batch.
     generation_busy: Duration,
-    /// Filter busy seconds: the filter stage (dispatcher plus shard
-    /// workers) when streaming, the one-pass minimize for batch.
+    /// Filter busy seconds: the filter thread when streaming, the
+    /// one-pass minimize for batch.
     filter_busy: Duration,
     /// Quantification busy seconds summed over workers.
     quant_busy: Duration,
-    /// Streaming filter shard count (0 for batch).
-    filter_shards: usize,
-    /// Epochs minimized through the batch fallback, summed over shards.
-    filter_fallback_epochs: u64,
-    /// Per-shard filter counters (empty for batch).
-    filter_shard_stats: Vec<FilterShardStats>,
+    /// Streaming filter counters (zero for batch).
+    filter_totals: FilterTotals,
 }
 
 /// Quantify one cutset against every horizon: build its `FT_C` model
@@ -1385,7 +1349,7 @@ mod streaming_tests {
             batch_opts.streaming = false;
             batch_opts.threads = 1;
             let reference = analyze_horizons(&tree, &batch_opts, &[24.0, 96.0]).unwrap();
-            for threads in [1, 2, 4] {
+            for threads in [1, 2, 4, 8] {
                 let mut opts = AnalysisOptions::new(96.0);
                 opts.streaming = true;
                 opts.threads = threads;
@@ -1408,94 +1372,6 @@ mod streaming_tests {
                         s.stats.clone().deterministic(),
                         "threads = {threads}"
                     );
-                }
-            }
-        }
-    }
-
-    /// Bitwise compare one streamed run against the batch reference.
-    fn assert_streamed_matches(
-        reference: &[AnalysisResult],
-        streamed: &[AnalysisResult],
-        label: &str,
-    ) {
-        for (b, s) in reference.iter().zip(streamed) {
-            assert_eq!(b.frequency.to_bits(), s.frequency.to_bits(), "{label}");
-            assert_eq!(b.cutsets.len(), s.cutsets.len(), "{label}");
-            for (rb, rs) in b.cutsets.iter().zip(&s.cutsets) {
-                assert_eq!(rb.cutset.events(), rs.cutset.events(), "{label}");
-                assert_eq!(
-                    rb.probability.to_bits(),
-                    rs.probability.to_bits(),
-                    "{label}"
-                );
-            }
-            assert_eq!(
-                b.stats.clone().deterministic(),
-                s.stats.clone().deterministic(),
-                "{label}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_filter_matches_batch_for_every_shard_and_thread_count() {
-        for tree in [example3(), replicated_lines()] {
-            let mut batch_opts = AnalysisOptions::new(96.0);
-            batch_opts.streaming = false;
-            batch_opts.threads = 1;
-            let reference = analyze_horizons(&tree, &batch_opts, &[24.0, 96.0]).unwrap();
-            for shards in [1, 2, 4, 8] {
-                for threads in [1, 2, 4, 8] {
-                    let mut opts = AnalysisOptions::new(96.0);
-                    opts.streaming = true;
-                    opts.threads = threads;
-                    opts.filter_shards = shards;
-                    let streamed = analyze_horizons(&tree, &opts, &[24.0, 96.0]).unwrap();
-                    assert_eq!(streamed[0].stats.filter_shards, shards);
-                    assert_eq!(streamed[0].stats.filter_shard_stats.len(), shards);
-                    assert_streamed_matches(
-                        &reference,
-                        &streamed,
-                        &format!("shards = {shards}, threads = {threads}"),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fallback_modes_do_not_change_released_cutsets() {
-        let tree = replicated_lines();
-        let mut batch_opts = AnalysisOptions::new(24.0);
-        batch_opts.streaming = false;
-        batch_opts.threads = 1;
-        let reference = analyze_horizons(&tree, &batch_opts, &[24.0]).unwrap();
-        for fallback in [
-            sdft_ft::FallbackMode::Adaptive,
-            sdft_ft::FallbackMode::Always,
-            sdft_ft::FallbackMode::Never,
-        ] {
-            for shards in [1, 4] {
-                let mut opts = AnalysisOptions::new(24.0);
-                opts.streaming = true;
-                opts.threads = 2;
-                opts.filter_shards = shards;
-                opts.filter_fallback = fallback;
-                let streamed = analyze_horizons(&tree, &opts, &[24.0]).unwrap();
-                assert_streamed_matches(
-                    &reference,
-                    &streamed,
-                    &format!("fallback = {fallback}, shards = {shards}"),
-                );
-                if fallback == sdft_ft::FallbackMode::Always {
-                    assert!(
-                        streamed[0].stats.filter_fallback_epochs > 0,
-                        "forced fallback must report fallback epochs"
-                    );
-                }
-                if fallback == sdft_ft::FallbackMode::Never {
-                    assert_eq!(streamed[0].stats.filter_fallback_epochs, 0);
                 }
             }
         }
@@ -1573,27 +1449,6 @@ mod streaming_tests {
             // The same failure under batch, for parity.
             opts.streaming = false;
             assert!(matches!(analyze(&t, &opts), Err(CoreError::Product(_))));
-        }
-    }
-
-    #[test]
-    fn quantification_errors_abort_the_sharded_filter_mid_epoch() {
-        // Shard workers may be mid-compaction (or blocked on a reply
-        // channel) when the abort lands; returning with the right error
-        // proves the dispatcher unblocked and joined every shard.
-        let t = example3();
-        for fallback in [sdft_ft::FallbackMode::Always, sdft_ft::FallbackMode::Never] {
-            let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
-            opts.threads = 2;
-            opts.filter_shards = 4;
-            opts.filter_fallback = fallback;
-            opts.max_chain_states = 1;
-            let error = analyze(&t, &opts).unwrap_err();
-            assert!(
-                matches!(error, CoreError::Product(_)),
-                "expected a product chain error, got: {error}"
-            );
         }
     }
 }

@@ -105,24 +105,6 @@ impl Cutset {
         );
         self
     }
-
-    /// Deterministic shard assignment for sharded minimization: an
-    /// FxHash over the order and the sorted event list, reduced mod
-    /// `shards`. Equal cutsets always land in the same shard (so
-    /// duplicates co-locate), and the key depends only on the cutset —
-    /// never on arrival order, thread count, or process state — so a
-    /// sharded run partitions the candidate stream identically on every
-    /// host.
-    #[must_use]
-    pub fn shard_key(&self, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        use std::hash::{Hash, Hasher};
-        let mut h = crate::hash::FxHasher::default();
-        self.events.hash(&mut h);
-        (h.finish() % shards as u64) as usize
-    }
 }
 
 /// The canonical cutset ordering: ascending order, then lexicographic
@@ -443,54 +425,6 @@ impl CutsetList {
     }
 }
 
-/// Controls when the incremental filter abandons per-offer probing for
-/// a buffered one-pass merge (the "batch fallback").
-///
-/// [`Adaptive`](Self::Adaptive) watches the observed probe rate: when
-/// offers are paying substantially more subset tests than the
-/// enumeration floor a one-pass minimize would also pay (heavy eviction
-/// churn, deferred-compaction sweeps), the minimizer stops probing per
-/// offer and buffers candidates, merging them in sorted one-pass
-/// batches instead. [`Always`]/[`Never`](Self::Never) force the
-/// respective path, for tests and benchmarks.
-///
-/// [`Always`]: Self::Always
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FallbackMode {
-    /// Fall back per epoch when the cost model says streaming can't win.
-    #[default]
-    Adaptive,
-    /// Buffer-and-merge from the first candidate.
-    Always,
-    /// Pure incremental probing, never buffer.
-    Never,
-}
-
-impl std::str::FromStr for FallbackMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "adaptive" => Ok(FallbackMode::Adaptive),
-            "always" => Ok(FallbackMode::Always),
-            "never" => Ok(FallbackMode::Never),
-            other => Err(format!(
-                "unknown fallback mode `{other}` (expected adaptive, always or never)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for FallbackMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FallbackMode::Adaptive => "adaptive",
-            FallbackMode::Always => "always",
-            FallbackMode::Never => "never",
-        })
-    }
-}
-
 /// Counters exposed by an [`IncrementalMinimizer`]. All counts depend on
 /// the offer order, so a streaming pipeline must treat them as
 /// schedule-dependent diagnostics, not part of the deterministic result.
@@ -509,8 +443,7 @@ pub struct FilterStats {
     pub compactions: u64,
     /// Sorted one-pass merges of the fallback buffer.
     pub fallback_merges: u64,
-    /// Whether this minimizer entered (or was forced into) the batch
-    /// fallback.
+    /// Whether this minimizer entered the batch fallback.
     pub fell_back: bool,
 }
 
@@ -553,10 +486,12 @@ struct OrderBucket {
 /// they are not.
 ///
 /// [`absorb`](Self::absorb) is the verdict-free streaming entry point
-/// that additionally honors a [`FallbackMode`]: buffered candidates are
-/// merged in sorted one-pass batches whose per-candidate cost matches
-/// the batch [`CutsetList::minimize`], for epochs where incremental
-/// probing cannot win.
+/// that may additionally take the "batch fallback": when offers pay
+/// substantially more subset tests than the enumeration floor a
+/// one-pass minimize would also pay (heavy eviction churn,
+/// deferred-compaction sweeps), it stops probing per offer and buffers
+/// candidates, merging them in sorted one-pass batches whose
+/// per-candidate cost matches the batch [`CutsetList::minimize`].
 #[derive(Debug)]
 pub struct IncrementalMinimizer {
     /// Kept cutsets; `None` marks an evicted slot (ids are never
@@ -591,7 +526,6 @@ pub struct IncrementalMinimizer {
     /// the enumeration floor a one-pass minimize would also pay.
     accepts: u64,
     accept_probes: u64,
-    mode: FallbackMode,
     /// Whether `absorb` currently buffers instead of probing.
     buffering: bool,
     buffer: Vec<Cutset>,
@@ -615,7 +549,6 @@ impl Default for IncrementalMinimizer {
             deferred: false,
             accepts: 0,
             accept_probes: 0,
-            mode: FallbackMode::Adaptive,
             buffering: false,
             buffer: Vec::new(),
             stats: FilterStats::default(),
@@ -707,26 +640,10 @@ impl IncrementalMinimizer {
     /// The adaptive cost model is consulted every this many offers.
     const FALLBACK_CHECK: u64 = 8192;
 
-    /// An empty minimizer with the default [`FallbackMode::Adaptive`].
+    /// An empty minimizer.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty minimizer with an explicit fallback mode (only
-    /// [`absorb`](Self::absorb) buffers; [`offer`](Self::offer) always
-    /// probes so its verdict stays exact).
-    #[must_use]
-    pub fn with_mode(mode: FallbackMode) -> Self {
-        IncrementalMinimizer {
-            mode,
-            buffering: mode == FallbackMode::Always,
-            stats: FilterStats {
-                fell_back: mode == FallbackMode::Always,
-                ..FilterStats::default()
-            },
-            ..Self::default()
-        }
     }
 
     /// Number of currently resident cutsets, counting both kept sets
@@ -779,9 +696,9 @@ impl IncrementalMinimizer {
         self.offer_internal(cutset)
     }
 
-    /// Verdict-free streaming ingestion honoring the [`FallbackMode`]:
-    /// either probes immediately (and consults the adaptive cost model)
-    /// or appends to the fallback buffer, which is merged in a sorted
+    /// Verdict-free streaming ingestion: either probes immediately (and
+    /// consults the adaptive cost model) or, once the epoch has fallen
+    /// back, appends to the fallback buffer, which is merged in a sorted
     /// one-pass batch once it reaches half the kept count (at least
     /// [`MIN_COMPACT`](Self::MIN_COMPACT)) — keeping residency bounded
     /// while paying batch-minimize cost per unique candidate.
@@ -1084,7 +1001,7 @@ impl IncrementalMinimizer {
     /// also pay). When the overhead exceeds 50% the epoch switches to
     /// buffer-and-merge.
     fn maybe_fall_back(&mut self) {
-        if self.mode != FallbackMode::Adaptive || self.buffering {
+        if self.buffering {
             return;
         }
         let offered = self.stats.offered;
@@ -1419,72 +1336,58 @@ mod tests {
         cutsets
     }
 
+    /// A minimizer forced into the buffer-merge fallback from its first
+    /// candidate (the adaptive cost model only gets there on churn-heavy
+    /// streams).
+    fn buffering_minimizer() -> IncrementalMinimizer {
+        let mut inc = IncrementalMinimizer::new();
+        inc.buffering = true;
+        inc.stats.fell_back = true;
+        inc
+    }
+
     #[test]
-    fn absorb_fallback_modes_match_batch_on_random_streams() {
+    fn absorb_paths_match_batch_on_random_streams() {
         let cutsets = lcg_stream(0x1234_5678_9abc_def0, 4000, 30, 36);
         let reference: Vec<Cutset> = CutsetList::from_vec(cutsets.clone())
             .minimize()
             .into_iter()
             .collect();
-        for mode in [
-            FallbackMode::Adaptive,
-            FallbackMode::Always,
-            FallbackMode::Never,
+        for (label, mut inc) in [
+            ("adaptive", IncrementalMinimizer::new()),
+            ("buffer-merge", buffering_minimizer()),
         ] {
-            let mut inc = IncrementalMinimizer::with_mode(mode);
             for c in cutsets.iter().cloned() {
                 inc.absorb(c);
             }
             let offered = inc.stats().offered;
-            assert_eq!(offered, cutsets.len() as u64, "mode {mode}");
+            assert_eq!(offered, cutsets.len() as u64, "{label}");
             let (sorted, stats) = inc.finish();
-            assert_eq!(sorted, reference, "mode {mode}");
-            if mode == FallbackMode::Always {
-                assert!(stats.fell_back, "Always must report the fallback");
-                assert!(stats.fallback_merges >= 1, "Always must merge");
-            }
-            if mode == FallbackMode::Never {
-                assert!(!stats.fell_back, "Never must not fall back");
-                assert_eq!(stats.fallback_merges, 0, "Never must not merge");
+            assert_eq!(sorted, reference, "{label}");
+            if label == "buffer-merge" {
+                assert!(stats.fell_back, "{label} must report the fallback");
+                assert!(stats.fallback_merges >= 1, "{label} must merge");
             }
             assert_eq!(
                 stats.offered - stats.rejects,
                 reference.len() as u64 + stats.evictions,
-                "mode {mode}: accepts must equal survivors plus evictions"
+                "{label}: accepts must equal survivors plus evictions"
             );
         }
-    }
-
-    #[test]
-    fn sharded_partition_reassembles_to_batch() {
-        let cutsets = lcg_stream(0x0fed_cba9_8765_4321, 3000, 25, 30);
-        let reference = CutsetList::from_vec(cutsets.clone()).minimize();
-        for shards in [1usize, 2, 4, 8] {
-            // Shard keys are deterministic and in range.
-            for c in &cutsets {
-                let key = c.shard_key(shards);
-                assert!(key < shards);
-                assert_eq!(key, c.shard_key(shards));
-            }
-            for mode in [FallbackMode::Never, FallbackMode::Always] {
-                let mut minimizers: Vec<IncrementalMinimizer> = (0..shards)
-                    .map(|_| IncrementalMinimizer::with_mode(mode))
-                    .collect();
-                for c in cutsets.iter().cloned() {
-                    let key = c.shard_key(shards);
-                    minimizers[key].absorb(c);
-                }
-                // A globally minimal set survives its own shard (its
-                // subsets land elsewhere at worst), so re-minimizing the
-                // union of the per-shard antichains is exact.
-                let union: Vec<Cutset> = minimizers
-                    .into_iter()
-                    .flat_map(|m| m.into_sorted())
-                    .collect();
-                let (reconciled, _) = CutsetList::from_vec(union).minimize_with_stats(1);
-                assert_eq!(reconciled, reference, "shards {shards}, mode {mode}");
-            }
+        // Pure probing: `offer` never buffers.
+        let mut inc = IncrementalMinimizer::new();
+        for c in cutsets.iter().cloned() {
+            inc.offer(c);
         }
+        let (sorted, stats) = inc.finish();
+        assert_eq!(sorted, reference, "pure probe");
+        assert!(!stats.fell_back, "offer must never fall back");
+        assert_eq!(stats.fallback_merges, 0, "offer must never merge");
+        assert_eq!(
+            stats.offered - stats.rejects,
+            reference.len() as u64 + stats.evictions,
+            "pure probe: accepts must equal survivors plus evictions"
+        );
     }
 
     #[test]
@@ -1506,7 +1409,7 @@ mod tests {
 
     #[test]
     fn absorbed_empty_cutset_wins_through_the_buffer() {
-        let mut inc = IncrementalMinimizer::with_mode(FallbackMode::Always);
+        let mut inc = buffering_minimizer();
         inc.absorb(cs(&[1, 2]));
         inc.absorb(cs(&[]));
         inc.absorb(cs(&[3]));

@@ -83,10 +83,6 @@ pub struct CheckConfig {
     /// (the driver cycles it per tree; sifting must be invisible in
     /// every delivered result).
     pub sift: bool,
-    /// Shard count for the streaming subsumption filter (`0` = the
-    /// engine's automatic choice; the driver cycles it per tree so the
-    /// campaign covers the sharded reconciliation paths).
-    pub filter_shards: usize,
 }
 
 impl Default for CheckConfig {
@@ -107,7 +103,6 @@ impl Default for CheckConfig {
             check_hybrid_consistency: true,
             hybrid_max_nodes: 20_000_000,
             sift: true,
-            filter_shards: 0,
         }
     }
 }
@@ -186,7 +181,6 @@ pub fn analysis_options(cfg: &CheckConfig) -> AnalysisOptions {
     opts.mocus = MocusOptions::exhaustive();
     opts.mocus.threads = 1;
     opts.threads = 1;
-    opts.filter_shards = cfg.filter_shards;
     opts.epsilon = cfg.epsilon;
     opts.bdd.sift.enabled = cfg.sift;
     // An aggressively low trigger so the campaign's small trees

@@ -304,22 +304,14 @@ proptest! {
         }
     }
 
-    /// The sharded streaming filter reassembles to the sequential
-    /// incremental minimizer and the batch minimize: partitioning the
-    /// stream by shard key, minimizing each shard independently and
-    /// reconciling the union gives exactly the minimal antichain, for
-    /// every shard count and fallback mode.
+    /// The streaming filter's incremental minimizer, fed a candidate
+    /// stream through `absorb` (adaptive fallback included), keeps
+    /// exactly the batch minimize's antichain.
     #[test]
-    fn sharded_filter_matches_sequential_and_batch(
+    fn incremental_absorb_matches_batch_minimize(
         sets in prop::collection::vec(prop::collection::vec(0usize..12, 1..6), 1..60),
-        mode_sel in 0u8..3,
     ) {
-        use sdft::ft::{FallbackMode, IncrementalMinimizer};
-        let mode = match mode_sel {
-            0 => FallbackMode::Adaptive,
-            1 => FallbackMode::Always,
-            _ => FallbackMode::Never,
-        };
+        use sdft::ft::IncrementalMinimizer;
         let input: Vec<Cutset> = sets
             .iter()
             .map(|s| Cutset::new(s.iter().map(|&i| NodeId::from_index(i))))
@@ -327,30 +319,13 @@ proptest! {
         let mut batch: Vec<Cutset> =
             CutsetList::from_vec(input.clone()).minimize().into_iter().collect();
         batch.sort();
-        let mut sequential = IncrementalMinimizer::with_mode(mode);
-        for c in input.clone() {
+        let mut sequential = IncrementalMinimizer::new();
+        for c in input {
             sequential.absorb(c);
         }
         let mut seq = sequential.into_sorted();
         seq.sort();
-        prop_assert_eq!(&seq, &batch, "sequential vs batch, mode = {}", mode);
-        for shards in [1usize, 2, 4, 8] {
-            let mut minimizers: Vec<IncrementalMinimizer> =
-                (0..shards).map(|_| IncrementalMinimizer::with_mode(mode)).collect();
-            for c in input.clone() {
-                let key = c.shard_key(shards);
-                prop_assert!(key < shards);
-                minimizers[key].absorb(c);
-            }
-            let union: Vec<Cutset> = minimizers
-                .into_iter()
-                .flat_map(IncrementalMinimizer::into_sorted)
-                .collect();
-            let mut reconciled: Vec<Cutset> =
-                CutsetList::from_vec(union).minimize().into_iter().collect();
-            reconciled.sort();
-            prop_assert_eq!(&reconciled, &batch, "shards = {}, mode = {}", shards, mode);
-        }
+        prop_assert_eq!(&seq, &batch);
     }
 
     /// Dynamic variable reordering is semantically invisible: the BDD
