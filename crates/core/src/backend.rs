@@ -178,9 +178,11 @@ impl CutsetBackend for MocusBackend {
     }
 }
 
-/// Cutsets per delivery batch under the streaming flow — matches the
-/// MOCUS generator's flush threshold so downstream channel sizing
-/// behaves identically for both backends.
+/// Cutsets per delivery batch under the streaming flow. Each batch is
+/// delivered as its own completed epoch, so this is also how many
+/// cutsets the filter releases at once. It stays below the MOCUS
+/// generator's 512-candidate flush threshold, which the generator
+/// channel's capacity is sized for.
 const BDD_STREAM_BATCH: usize = 128;
 
 /// The modular-BDD backend: exact probability plus minimal cutsets via

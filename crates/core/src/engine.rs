@@ -1,8 +1,10 @@
-//! The staged streaming analysis engine (DESIGN.md §7).
+//! The analysis engine: the one path from cutset generation to
+//! per-cutset reports (DESIGN.md §7).
 //!
-//! Batch analysis materializes every MOCUS candidate, minimizes the full
-//! list, then quantifies it — peak memory is O(all candidates). The
-//! engine instead fuses the three phases into a bounded pipeline:
+//! Batch and streaming analyses differ only in where the minimal
+//! cutsets come from. Streaming (the default) fuses generation,
+//! subsumption and quantification into a bounded pipeline, so peak
+//! memory stays far below O(all candidates):
 //!
 //! ```text
 //! MOCUS workers ──GenMsg──▶ filter thread ──Cutset──▶ quant workers
@@ -12,6 +14,11 @@
 //!                 batches)                              workspaces)
 //! ```
 //!
+//! Batch runs no filter thread: the calling thread materializes the
+//! whole minimal list with [`CutsetBackend::generate_batch`] and
+//! releases it straight into the same quantification channel and
+//! workers.
+//!
 //! Backpressure: both channels are bounded, so a slow consumer stalls
 //! the producer instead of letting candidates pile up. The watermark
 //! rule making early release sound is the generator's epoch contract
@@ -20,22 +27,22 @@
 //! last delivery — the filter minimizes each epoch independently and
 //! releases its surviving cutsets the moment it completes.
 //!
-//! Results are bitwise-identical to the batch path for every thread
+//! Results are bitwise-identical across both sources and every thread
 //! count: the candidate multiset is schedule-independent, minimal sets
 //! of a multiset are unique, per-cutset quantification is a pure
 //! function of the cutset (the [`QuantCache`] stores one canonical
 //! solution per model class regardless of which member solved it), and
-//! the final assembly re-sorts reports into the batch's canonical
-//! (order, events) cutset order before the per-horizon summation.
+//! the final assembly re-sorts reports into canonical (order, events)
+//! cutset order before the per-horizon summation.
 
-use crate::backend::{CutsetBackend, GenError, GenerationStats};
-use crate::canonical::{CacheStats, QuantCache};
+use crate::backend::{BddGenStats, CutsetBackend, GenError};
+use crate::canonical::QuantCache;
 use crate::error::CoreError;
 use crate::ftc::FtcContext;
-use crate::pipeline::{quantify_cutset_at_horizons, AnalysisOptions, CutsetReport, FilterTotals};
+use crate::pipeline::{AnalysisOptions, AnalysisStats, CutsetReport, FilterTotals, Timings};
 use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::Translated;
-use sdft_ctmc::WorkspacePool;
+use sdft_ctmc::{SolverWorkspace, WorkspacePool};
 use sdft_ft::{Cutset, EventProbabilities, FaultTree, IncrementalMinimizer};
 use sdft_mocus::{CandidateSink, MocusError};
 use std::collections::{HashMap, VecDeque};
@@ -47,45 +54,29 @@ use std::time::{Duration, Instant};
 /// holds at most the generator's flush threshold of 512 candidates).
 const GEN_CHANNEL_BATCHES: usize = 64;
 
-/// Cutsets per filter→quantification delivery batch (one channel send
-/// and one wakeup per batch instead of per cutset).
+/// Cutsets per release→quantification delivery batch (one channel
+/// send and one wakeup per batch instead of per cutset).
 const QUANT_BATCH: usize = 256;
 
-/// Filter→quantification channel capacity, in batches. Together with
+/// Release→quantification channel capacity, in batches. Together with
 /// [`QUANT_BATCH`] this bounds minimal cutsets awaiting quantification
 /// to 4096.
 const QUANT_CHANNEL_BATCHES: usize = 16;
 
 /// What the engine hands back to the pipeline: per-horizon reports in
-/// the batch path's canonical cutset order, plus per-stage statistics.
+/// canonical cutset order plus the run-wide timings and statistics.
 pub(crate) struct EngineOutput {
     /// One report vector per horizon, in canonical (order, events)
-    /// cutset order — exactly the batch path's pre-sort order.
+    /// cutset order.
     pub(crate) per_horizon: Vec<Vec<CutsetReport>>,
-    pub(crate) gen_stats: GenerationStats,
-    /// Peak cutsets resident in the filter stage across all epochs.
-    pub(crate) peak_pending_cutsets: usize,
-    /// Peak models enqueued-or-quantifying downstream of the filter.
-    pub(crate) peak_inflight_models: usize,
-    pub(crate) cache_stats: CacheStats,
-    pub(crate) kernel_usage: KernelUsage,
-    /// Wall-clock span of the generation stage.
-    pub(crate) generation_span: Duration,
-    /// Wall-clock span of the quantification stage (first cutset
-    /// released to the last worker joining).
-    pub(crate) quantification_span: Duration,
-    /// Stage-seconds the generation and quantification spans overlapped
-    /// (zero in a perfectly serial run; the pipeline's win).
-    pub(crate) overlap: Duration,
-    /// Time the filter thread spent working: neither blocked on the
-    /// generator channel nor on a full quantification channel.
-    pub(crate) filter_busy: Duration,
-    /// Time quantification workers spent solving models, summed over
-    /// workers (not blocked on the filter channel).
-    pub(crate) quant_busy: Duration,
-    /// Filter counters summed over every epoch (the online arrival
-    /// order makes them scheduling-dependent, unlike batch).
-    pub(crate) filter_totals: FilterTotals,
+    /// The BDD and hybrid backends' by-products (`None` under MOCUS).
+    pub(crate) bdd: Option<BddGenStats>,
+    /// Generation, quantification and per-stage timings; the caller
+    /// fills in the setup phases and the total.
+    pub(crate) timings: Timings,
+    /// Run-wide statistics; the caller fills in the per-horizon cutset
+    /// counts, histograms and chain peak.
+    pub(crate) stats: AnalysisStats,
 }
 
 /// A bounded MPMC channel on `Mutex` + `Condvar` (std only). `send`
@@ -258,9 +249,53 @@ struct QuantContext<'a> {
     errors: &'a ErrorSlot,
 }
 
-/// Hands a finished epoch's minimal cutsets to the quantification
-/// channel in [`QUANT_BATCH`] chunks, mapping ids back to the original
-/// tree and keeping the inflight-model accounting.
+impl QuantContext<'_> {
+    /// Quantify one cutset against every horizon: build its `FT_C`
+    /// model once, solve it (through the cache when given), and expand
+    /// into one [`CutsetReport`] per horizon. Pure in the cutset, which
+    /// is why every schedule produces bitwise-identical reports.
+    fn solve(
+        &self,
+        cutset: &Cutset,
+        workspace: &mut SolverWorkspace,
+    ) -> Result<(Vec<CutsetReport>, KernelUsage), CoreError> {
+        let begin = Instant::now();
+        let model = crate::ftc::build_ftc_with(self.tree, self.ctx, cutset, self.qopts.treatment)?;
+        // Model construction is shared by every horizon and split
+        // evenly; the quantifier attributes the solve cost per horizon
+        // (zero on cache hits).
+        let build_share = begin.elapsed() / u32::try_from(self.horizons.len()).unwrap_or(1);
+        let (quantified, _, usage) = crate::quantify::quantify_model_many_with(
+            self.tree,
+            &model,
+            self.horizons,
+            self.qopts,
+            self.cache,
+            workspace,
+        )?;
+        let reports = quantified
+            .into_iter()
+            .zip(self.probs_per_horizon)
+            .map(|(q, probs)| CutsetReport {
+                probability: q.probability,
+                static_probability: cutset.probability_with(|e| probs.get(e)),
+                cutset_dynamic: q.cutset_dynamic,
+                added_dynamic: q.added_dynamic,
+                added_static: q.added_static,
+                chain_states: q.chain_states,
+                used_general: q.used_general,
+                quantification_time: build_share + q.quantification_time,
+                cutset: cutset.clone(),
+            })
+            .collect();
+        Ok((reports, usage))
+    }
+}
+
+/// Hands minimal cutsets — a finished epoch's, or the whole batch
+/// list — to the quantification channel in [`QUANT_BATCH`] chunks,
+/// mapping ids back to the original tree and keeping the
+/// inflight-model accounting.
 struct Releaser<'a> {
     quant_tx: &'a Channel<Vec<Cutset>>,
     translated: &'a Translated,
@@ -384,33 +419,28 @@ fn quant_stage(
     inflight: &AtomicUsize,
 ) -> (Vec<Vec<CutsetReport>>, KernelUsage, Duration) {
     let mut workspace = pool.acquire();
-    let mut local: Vec<Vec<CutsetReport>> = Vec::new();
+    // One report vector per horizon.
+    let mut local: Vec<Vec<CutsetReport>> = vec![Vec::new(); qctx.horizons.len()];
     let mut usage = KernelUsage::default();
     let mut busy = Duration::ZERO;
     'drain: while let Some(batch) = quant_rx.recv() {
         let work_begin = Instant::now();
         for cutset in batch {
-            let quantified = quantify_cutset_at_horizons(
-                qctx.tree,
-                qctx.ctx,
-                &cutset,
-                qctx.horizons,
-                qctx.qopts,
-                qctx.cache,
-                qctx.probs_per_horizon,
-                &mut workspace,
-            );
+            let quantified = qctx.solve(&cutset, &mut workspace);
             inflight.fetch_sub(1, Ordering::Relaxed);
             match quantified {
                 Ok((reports, u)) => {
                     usage.absorb(u);
-                    local.push(reports);
+                    for (h, report) in reports.into_iter().enumerate() {
+                        local[h].push(report);
+                    }
                     progress.quantified.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(error) => {
                     record_error(qctx.errors, cutset, error);
                     // Stall everything upstream: the generator's next
-                    // send fails, the filter's next recv/send fails.
+                    // send fails, the filter's (or the batch release's)
+                    // next recv/send fails.
                     quant_rx.abort();
                     qctx.gen_tx.abort();
                     busy += work_begin.elapsed();
@@ -424,11 +454,12 @@ fn quant_stage(
     (local, usage, busy)
 }
 
-/// Run the full streaming analysis: generation on the calling thread,
-/// one filter thread, `threads` quantification workers, and (when
-/// enabled) a progress monitor — all joined before returning.
+/// Run the analysis from cutset generation to per-horizon reports:
+/// generation on the calling thread, the filter thread when streaming,
+/// `threads` quantification workers, and (when enabled) a progress
+/// monitor — all joined before returning.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_streaming(
+pub(crate) fn run(
     tree: &FaultTree,
     translated: &Translated,
     static_probs: &EventProbabilities,
@@ -481,10 +512,12 @@ pub(crate) fn run_streaming(
     let pipeline_start = Instant::now();
     let (gen_result, generation_span, filter_out, worker_outputs, quant_end) =
         std::thread::scope(|scope| {
-            let filter_handle = std::thread::Builder::new()
-                .name("sdft-filter".into())
-                .spawn_scoped(scope, || filter_stage(&gen_channel, &releaser))
-                .expect("spawn filter thread");
+            let filter_handle = options.streaming.then(|| {
+                std::thread::Builder::new()
+                    .name("sdft-filter".into())
+                    .spawn_scoped(scope, || filter_stage(&gen_channel, &releaser))
+                    .expect("spawn filter thread")
+            });
             let quant_handles: Vec<_> = (0..threads)
                 .map(|i| {
                     std::thread::Builder::new()
@@ -530,25 +563,64 @@ pub(crate) fn run_streaming(
             }
 
             // Generation runs on the calling thread (its own worker pool
-            // lives inside `stream_minimal_cutsets`).
-            let sink = ChannelSink {
-                channel: &gen_channel,
-                candidates: &progress.candidates,
-            };
+            // lives inside the backend).
             let gen_start = Instant::now();
-            let gen_result =
-                backend.generate_streaming(&translated.tree, static_probs, exact_probe, &sink);
-            let generation_span = gen_start.elapsed();
-            if gen_result.is_ok() {
-                gen_channel.close();
-            } else {
-                // Real generation failure: tear the pipeline down. (On
-                // Aborted the teardown already happened downstream.)
-                gen_channel.abort();
-                quant_channel.abort();
-            }
+            let (gen_result, generation_span, filter_out) = match filter_handle {
+                Some(filter_handle) => {
+                    let sink = ChannelSink {
+                        channel: &gen_channel,
+                        candidates: &progress.candidates,
+                    };
+                    let gen_result = backend.generate_streaming(
+                        &translated.tree,
+                        static_probs,
+                        exact_probe,
+                        &sink,
+                    );
+                    let generation_span = gen_start.elapsed();
+                    if gen_result.is_ok() {
+                        gen_channel.close();
+                    } else {
+                        // Real generation failure: tear the pipeline
+                        // down. (On Aborted the teardown already
+                        // happened downstream.)
+                        gen_channel.abort();
+                        quant_channel.abort();
+                    }
+                    let filter_out = filter_handle.join().expect("filter thread does not panic");
+                    (gen_result, generation_span, filter_out)
+                }
+                None => {
+                    let generated =
+                        backend.generate_batch(&translated.tree, static_probs, exact_probe);
+                    let generation_span = gen_start.elapsed();
+                    let mut out = FilterOutput::default();
+                    let gen_result = match generated {
+                        Ok((mcs, stats)) => {
+                            progress
+                                .candidates
+                                .store(stats.mocus.cutset_candidates, Ordering::Relaxed);
+                            // Every candidate was resident before the
+                            // one-pass minimize, and the whole minimal
+                            // list is materialized before release.
+                            out.peak_pending = usize::try_from(stats.mocus.cutset_candidates)
+                                .unwrap_or(usize::MAX);
+                            out.busy = stats.mocus.minimize_time;
+                            peak_inflight.store(mcs.len(), Ordering::Relaxed);
+                            if releaser.release(mcs.into_iter().collect(), &mut out) {
+                                quant_channel.close();
+                            }
+                            Ok(stats)
+                        }
+                        Err(error) => {
+                            quant_channel.abort();
+                            Err(GenError::Failed(error))
+                        }
+                    };
+                    (gen_result, generation_span, out)
+                }
+            };
 
-            let filter_out = filter_handle.join().expect("filter thread does not panic");
             let worker_outputs: Vec<(Vec<Vec<CutsetReport>>, KernelUsage, Duration)> =
                 quant_handles
                     .into_iter()
@@ -590,50 +662,107 @@ pub(crate) fn run_streaming(
     };
 
     // Deterministic final assembly: reports arrive in scheduling order,
-    // the canonical (order, events) sort restores the batch order (the
-    // translation keeps basic-event ids monotone, so original-id order
-    // equals translated-id order).
+    // the canonical (order, events) sort restores the generation order
+    // (the translation keeps basic-event ids monotone, so original-id
+    // order equals translated-id order). Cutsets are unique, so every
+    // horizon sorts into the same order. The first worker's vectors are
+    // reused so a single worker's reports are never copied.
     let mut kernel_usage = KernelUsage::default();
     let mut quant_busy = Duration::ZERO;
-    for (_, usage, busy) in &worker_outputs {
-        kernel_usage.absorb(*usage);
-        quant_busy += *busy;
-    }
-    let mut items: Vec<Vec<CutsetReport>> = worker_outputs
-        .into_iter()
-        .flat_map(|(local, _, _)| local)
-        .collect();
-    items.sort_unstable_by(|a, b| {
-        let (ca, cb) = (&a[0].cutset, &b[0].cutset);
-        ca.order()
-            .cmp(&cb.order())
-            .then_with(|| ca.events().cmp(cb.events()))
-    });
-    let mut per_horizon: Vec<Vec<CutsetReport>> = (0..horizons.len())
-        .map(|_| Vec::with_capacity(items.len()))
-        .collect();
-    for reports in items {
-        debug_assert_eq!(reports.len(), horizons.len());
-        for (h, report) in reports.into_iter().enumerate() {
-            per_horizon[h].push(report);
+    let mut per_horizon: Vec<Vec<CutsetReport>> = Vec::new();
+    for (local, usage, busy) in worker_outputs {
+        kernel_usage.absorb(usage);
+        quant_busy += busy;
+        if per_horizon.is_empty() {
+            per_horizon = local;
+        } else {
+            for (all, mine) in per_horizon.iter_mut().zip(local) {
+                all.extend(mine);
+            }
         }
+    }
+    for reports in &mut per_horizon {
+        reports.sort_unstable_by(|a, b| {
+            let (ca, cb) = (&a.cutset, &b.cutset);
+            ca.order()
+                .cmp(&cb.order())
+                .then_with(|| ca.events().cmp(cb.events()))
+        });
     }
 
     let quantification_span = filter_out
         .first_release
         .map_or(Duration::ZERO, |first| quant_end.duration_since(first));
-    Ok(EngineOutput {
-        per_horizon,
-        gen_stats,
+    let mocus = &gen_stats.mocus;
+    // Streaming: generation is pure enumeration and the filter counts
+    // its own probes. Batch: the one-pass minimize inside generation is
+    // attributed to the filter stage so the two compare directly.
+    let (generation_busy, subsumption_comparisons) = if options.streaming {
+        (generation_span, filter_out.totals.probes)
+    } else {
+        (
+            generation_span.saturating_sub(filter_out.busy),
+            mocus.subsumption_comparisons,
+        )
+    };
+    let cache_stats = cache.as_ref().map(QuantCache::stats).unwrap_or_default();
+    let mut stats = AnalysisStats {
+        distinct_model_classes: cache_stats.distinct_classes,
+        cache_hits: cache_stats.hits,
+        cache_misses: cache_stats.misses,
+        kernel_solves: kernel_usage.stats.solves,
+        kernel_steps: kernel_usage.stats.steps_taken,
+        kernel_steps_saved: kernel_usage.stats.steps_saved,
+        steady_state_solves: kernel_usage.stats.steady_state_solves,
+        kernel_spmv_nonzeros: kernel_usage.stats.spmv_nonzeros,
+        kernel_csr_reuses: kernel_usage.stats.csr_reuses,
+        mocus_partials_processed: mocus.partials_processed,
+        mocus_partials_pruned: mocus.partials_pruned,
+        mocus_subsumption_comparisons: subsumption_comparisons,
+        mocus_stolen_tasks: mocus.stolen_tasks,
         peak_pending_cutsets: filter_out.peak_pending,
         peak_inflight_models: peak_inflight.into_inner(),
-        cache_stats: cache.as_ref().map(QuantCache::stats).unwrap_or_default(),
-        kernel_usage,
-        generation_span,
-        quantification_span,
-        overlap: (generation_span + quantification_span).saturating_sub(pipeline_span),
-        filter_busy: filter_out.busy,
-        quant_busy,
+        mocus_peak_live_partials: mocus.peak_live_partials,
+        mocus_peak_partial_bytes: mocus.peak_partial_bytes,
+        mocus_peak_live_candidates: mocus.peak_live_candidates,
+        mocus_peak_candidate_bytes: mocus.peak_candidate_bytes,
         filter_totals: filter_out.totals,
+        backend: options.backend,
+        ..AnalysisStats::default()
+    };
+    if let Some(bdd) = &gen_stats.bdd {
+        stats.bdd_modules = bdd.stats.modules;
+        stats.bdd_total_nodes = bdd.stats.total_nodes;
+        stats.bdd_max_module_nodes = bdd.stats.max_module_nodes;
+        stats.bdd_per_module_nodes = bdd.stats.per_module.iter().map(|m| m.nodes).collect();
+        stats.bdd_weighted_orders = bdd.stats.weighted_orders;
+        stats.bdd_apply_hits = bdd.stats.apply_hits;
+        stats.bdd_apply_misses = bdd.stats.apply_misses;
+        stats.bdd_external_modules = bdd.stats.external_modules;
+        stats.bdd_sift_passes = bdd.stats.sift_passes;
+        stats.bdd_sift_swaps = bdd.stats.sift_swaps;
+        stats.bdd_exact_modules = match &bdd.plan {
+            Some(plan) => plan.exact_modules(),
+            // The pure BDD backend builds every module exactly.
+            None => bdd.stats.modules,
+        };
+    }
+    Ok(EngineOutput {
+        per_horizon,
+        bdd: gen_stats.bdd,
+        timings: Timings {
+            mcs_generation: generation_span,
+            quantification: quantification_span,
+            quantification_saved: cache_stats.time_saved,
+            csr_build: kernel_usage.csr_build,
+            // Zero for batch: its release starts after generation ends.
+            stream_overlap: (generation_span + quantification_span).saturating_sub(pipeline_span),
+            generation_busy,
+            filter_busy: filter_out.busy,
+            quant_busy,
+            spmv: kernel_usage.spmv_time,
+            ..Timings::default()
+        },
+        stats,
     })
 }

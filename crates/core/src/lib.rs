@@ -80,8 +80,8 @@ pub use planner::{
     ModulePlanEntry, PlanReason, PlannerScore,
 };
 pub use quantify::{
-    quantify_cutset, quantify_model_many, quantify_model_many_with, CacheLookup,
-    CutsetQuantification, KernelUsage, QuantifyOptions,
+    quantify_cutset, quantify_model_many_with, CacheLookup, CutsetQuantification, KernelUsage,
+    QuantifyOptions,
 };
 pub use sdft_bdd::{BddError, ModularBddOptions, SiftSettings};
 pub use sdft_ctmc::{SolveStats, SolverOptions, SolverWorkspace, WorkspacePool};

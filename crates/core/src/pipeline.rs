@@ -1,18 +1,12 @@
-use crate::backend::{
-    Backend, BddBackend, CutsetBackend, GenerationStats, HybridBackend, MocusBackend,
-};
-use crate::canonical::{CacheStats, QuantCache};
+use crate::backend::{Backend, BddBackend, CutsetBackend, HybridBackend, MocusBackend};
 use crate::error::CoreError;
 use crate::ftc::FtcContext;
 use crate::planner::ModulePlanEntry;
-use crate::quantify::{KernelUsage, QuantifyOptions};
 use crate::translate::translate;
 use crate::worstcase::worst_case_probabilities;
 use sdft_bdd::ModularBddOptions;
-use sdft_ctmc::SolverWorkspace;
 use sdft_ft::{Cutset, EventProbabilities, FaultTree};
 use sdft_mocus::MocusOptions;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Options for the full SD fault tree analysis.
@@ -57,16 +51,17 @@ pub struct AnalysisOptions {
     /// extra error per horizon when it fires — disable for bitwise
     /// compatibility with the plain Jensen iteration).
     pub steady_state_detection: bool,
-    /// Run the staged streaming engine — MOCUS generation, incremental
-    /// subsumption and quantification fused over bounded channels — so
-    /// peak cutset residency stays bounded instead of O(all candidates)
-    /// (default `true`; results are bitwise-identical to the batch path
-    /// for every thread count).
+    /// Stream cutsets from the generator through an incremental
+    /// subsumption filter into quantification, so peak cutset residency
+    /// stays bounded instead of O(all candidates) (default `true`).
+    /// `false` materializes and minimizes the whole list first and
+    /// hands it to the same quantification workers; results are
+    /// bitwise-identical either way, for every thread count.
     pub streaming: bool,
     /// Emit a progress line to stderr at this interval while the
-    /// streaming engine runs (candidates generated, cutsets finalized,
-    /// models quantified, cache hit rate). `None` (the default) costs
-    /// nothing; ignored by the batch path.
+    /// analysis runs (candidates generated, cutsets pending and
+    /// finalized, models quantified, cache hit rate). `None` (the
+    /// default) costs nothing.
     pub progress: Option<Duration>,
 }
 
@@ -130,7 +125,8 @@ pub struct Timings {
     pub worst_case: Duration,
     /// Translating to the static tree `FT̄` (§V-B1).
     pub translation: Duration,
-    /// MOCUS cutset generation.
+    /// Minimal cutset generation by the selected backend (MOCUS, BDD or
+    /// hybrid), including the batch path's one-pass minimize.
     pub mcs_generation: Duration,
     /// Total dynamic quantification (all cutsets, wall clock).
     pub quantification: Duration,
@@ -582,93 +578,24 @@ pub fn analyze_horizons(
         Vec::new()
     };
 
-    // The generation→minimization→quantification middle, either fused
-    // (streaming engine) or phase by phase (batch). Both produce the
-    // per-horizon reports in canonical cutset order plus identical
-    // deterministic statistics.
-    let phase = if options.streaming {
-        let engine = crate::engine::run_streaming(
-            tree,
-            &translated,
-            &static_probs,
-            backend.as_ref(),
-            &exact_probe,
-            horizons,
-            options,
-            &probs_per_horizon,
-            &ctx,
-        )?;
-        PhaseOutput {
-            per_horizon_reports: engine.per_horizon,
-            cache_stats: engine.cache_stats,
-            kernel_usage: engine.kernel_usage,
-            gen_stats: engine.gen_stats,
-            subsumption_comparisons: engine.filter_totals.probes,
-            peak_pending_cutsets: engine.peak_pending_cutsets,
-            peak_inflight_models: engine.peak_inflight_models,
-            mcs_time: engine.generation_span,
-            quantification_time: engine.quantification_span,
-            stream_overlap: engine.overlap,
-            generation_busy: engine.generation_span,
-            filter_busy: engine.filter_busy,
-            quant_busy: engine.quant_busy,
-            filter_totals: engine.filter_totals,
-        }
-    } else {
-        let t2 = Instant::now();
-        let (mcs, gen_stats) =
-            backend.generate_batch(&translated.tree, &static_probs, &exact_probe)?;
-        let cutsets = translated.cutsets_to_original(&mcs);
-        let mcs_time = t2.elapsed();
-
-        let t3 = Instant::now();
-        let (per_horizon_reports, cache_stats, kernel_usage, quant_busy) =
-            quantify_all_multi(tree, &ctx, &cutsets, horizons, options, &probs_per_horizon)?;
-        let minimize_time = gen_stats.mocus.minimize_time;
-        PhaseOutput {
-            subsumption_comparisons: gen_stats.mocus.subsumption_comparisons,
-            // Batch materializes every candidate before minimizing and
-            // holds the whole minimal list through quantification.
-            peak_pending_cutsets: usize::try_from(gen_stats.mocus.cutset_candidates)
-                .unwrap_or(usize::MAX),
-            peak_inflight_models: cutsets.len(),
-            per_horizon_reports,
-            cache_stats,
-            kernel_usage,
-            gen_stats,
-            mcs_time,
-            quantification_time: t3.elapsed(),
-            stream_overlap: Duration::ZERO,
-            // Attribute the one-pass minimize to the filter stage so
-            // batch and streaming filter costs compare directly; the
-            // rest of the generation phase is enumeration.
-            generation_busy: mcs_time.saturating_sub(minimize_time),
-            filter_busy: minimize_time,
-            quant_busy,
-            filter_totals: FilterTotals::default(),
-        }
-    };
-    let PhaseOutput {
-        per_horizon_reports,
-        cache_stats,
-        kernel_usage,
-        gen_stats,
-        subsumption_comparisons,
-        peak_pending_cutsets,
-        peak_inflight_models,
-        mcs_time,
-        quantification_time,
-        stream_overlap,
-        generation_busy,
-        filter_busy,
-        quant_busy,
-        filter_totals,
-    } = phase;
-    let mocus_stats = &gen_stats.mocus;
+    // Generation, minimization and quantification run in the engine;
+    // batch and streaming differ only in where its cutsets come from.
+    let engine = crate::engine::run(
+        tree,
+        &translated,
+        &static_probs,
+        backend.as_ref(),
+        &exact_probe,
+        horizons,
+        options,
+        &probs_per_horizon,
+        &ctx,
+    )?;
 
     let mut results = Vec::with_capacity(horizons.len());
-    for (h_index, (&horizon, reports)) in horizons.iter().zip(per_horizon_reports).enumerate() {
-        let mut cutset_reports = reports;
+    for (h_index, (&horizon, mut cutset_reports)) in
+        horizons.iter().zip(engine.per_horizon).enumerate()
+    {
         cutset_reports.sort_by(|a, b| {
             b.probability
                 .partial_cmp(&a.probability)
@@ -685,46 +612,8 @@ pub fn analyze_horizons(
 
         let mut stats = AnalysisStats {
             num_cutsets: cutset_reports.len(),
-            distinct_model_classes: cache_stats.distinct_classes,
-            cache_hits: cache_stats.hits,
-            cache_misses: cache_stats.misses,
-            kernel_solves: kernel_usage.stats.solves,
-            kernel_steps: kernel_usage.stats.steps_taken,
-            kernel_steps_saved: kernel_usage.stats.steps_saved,
-            steady_state_solves: kernel_usage.stats.steady_state_solves,
-            kernel_spmv_nonzeros: kernel_usage.stats.spmv_nonzeros,
-            kernel_csr_reuses: kernel_usage.stats.csr_reuses,
-            mocus_partials_processed: mocus_stats.partials_processed,
-            mocus_partials_pruned: mocus_stats.partials_pruned,
-            mocus_subsumption_comparisons: subsumption_comparisons,
-            mocus_stolen_tasks: mocus_stats.stolen_tasks,
-            peak_pending_cutsets,
-            peak_inflight_models,
-            mocus_peak_live_partials: mocus_stats.peak_live_partials,
-            mocus_peak_partial_bytes: mocus_stats.peak_partial_bytes,
-            mocus_peak_live_candidates: mocus_stats.peak_live_candidates,
-            mocus_peak_candidate_bytes: mocus_stats.peak_candidate_bytes,
-            filter_totals,
-            backend: options.backend,
-            ..AnalysisStats::default()
+            ..engine.stats.clone()
         };
-        if let Some(bdd) = &gen_stats.bdd {
-            stats.bdd_modules = bdd.stats.modules;
-            stats.bdd_total_nodes = bdd.stats.total_nodes;
-            stats.bdd_max_module_nodes = bdd.stats.max_module_nodes;
-            stats.bdd_per_module_nodes = bdd.stats.per_module.iter().map(|m| m.nodes).collect();
-            stats.bdd_weighted_orders = bdd.stats.weighted_orders;
-            stats.bdd_apply_hits = bdd.stats.apply_hits;
-            stats.bdd_apply_misses = bdd.stats.apply_misses;
-            stats.bdd_external_modules = bdd.stats.external_modules;
-            stats.bdd_sift_passes = bdd.stats.sift_passes;
-            stats.bdd_sift_swaps = bdd.stats.sift_swaps;
-            stats.bdd_exact_modules = match &bdd.plan {
-                Some(plan) => plan.exact_modules(),
-                // The pure BDD backend builds every module exactly.
-                None => bdd.stats.modules,
-            };
-        }
         for r in &cutset_reports {
             if r.cutset_dynamic > 0 {
                 stats.num_dynamic_cutsets += 1;
@@ -737,8 +626,8 @@ pub fn analyze_horizons(
         results.push(AnalysisResult {
             frequency,
             static_rea,
-            exact_static: gen_stats.bdd.as_ref().and_then(|bdd| bdd.exact[h_index]),
-            module_plan: gen_stats
+            exact_static: engine.bdd.as_ref().and_then(|bdd| bdd.exact[h_index]),
+            module_plan: engine
                 .bdd
                 .as_ref()
                 .and_then(|bdd| bdd.plan.as_ref())
@@ -749,16 +638,8 @@ pub fn analyze_horizons(
             timings: Timings {
                 worst_case: worst_case_time,
                 translation: translation_time,
-                mcs_generation: mcs_time,
-                quantification: quantification_time,
-                quantification_saved: cache_stats.time_saved,
-                csr_build: kernel_usage.csr_build,
-                stream_overlap,
-                generation_busy,
-                filter_busy,
-                quant_busy,
-                spmv: kernel_usage.spmv_time,
                 total: start.elapsed(),
+                ..engine.timings
             },
             stats,
         });
@@ -771,227 +652,6 @@ fn bump(histogram: &mut Vec<usize>, index: usize) {
         histogram.resize(index + 1, 0);
     }
     histogram[index] += 1;
-}
-
-/// What the generation/minimization/quantification middle hands to the
-/// per-horizon assembly, identical in shape for both engines.
-struct PhaseOutput {
-    /// One report vector per horizon, in canonical cutset order.
-    per_horizon_reports: Vec<Vec<CutsetReport>>,
-    cache_stats: CacheStats,
-    kernel_usage: KernelUsage,
-    gen_stats: GenerationStats,
-    subsumption_comparisons: u64,
-    peak_pending_cutsets: usize,
-    peak_inflight_models: usize,
-    mcs_time: Duration,
-    quantification_time: Duration,
-    stream_overlap: Duration,
-    /// Generation busy seconds: the generation span when streaming, the
-    /// enumeration minus the one-pass minimize for batch.
-    generation_busy: Duration,
-    /// Filter busy seconds: the filter thread when streaming, the
-    /// one-pass minimize for batch.
-    filter_busy: Duration,
-    /// Quantification busy seconds summed over workers.
-    quant_busy: Duration,
-    /// Streaming filter counters (zero for batch).
-    filter_totals: FilterTotals,
-}
-
-/// Quantify one cutset against every horizon: build its `FT_C` model
-/// once, solve it (through the cache when given), and expand into one
-/// [`CutsetReport`] per horizon. Pure in the cutset — shared by the
-/// batch fan-out and the streaming engine's quantification workers, and
-/// the reason both produce bitwise-identical reports.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quantify_cutset_at_horizons(
-    tree: &FaultTree,
-    ctx: &FtcContext,
-    cutset: &Cutset,
-    horizons: &[f64],
-    qopts: &QuantifyOptions,
-    cache: Option<&QuantCache>,
-    probs_per_horizon: &[EventProbabilities],
-    workspace: &mut SolverWorkspace,
-) -> Result<(Vec<CutsetReport>, KernelUsage), CoreError> {
-    let begin = Instant::now();
-    let model = crate::ftc::build_ftc_with(tree, ctx, cutset, qopts.treatment)?;
-    let build_share = begin.elapsed() / u32::try_from(horizons.len()).unwrap_or(1);
-    let (quantified, _, usage) =
-        crate::quantify::quantify_model_many_with(tree, &model, horizons, qopts, cache, workspace)?;
-    let reports = quantified
-        .into_iter()
-        .zip(probs_per_horizon)
-        .map(|(q, probs)| CutsetReport {
-            probability: q.probability,
-            static_probability: cutset.probability_with(|e| probs.get(e)),
-            cutset_dynamic: q.cutset_dynamic,
-            added_dynamic: q.added_dynamic,
-            added_static: q.added_static,
-            chain_states: q.chain_states,
-            used_general: q.used_general,
-            quantification_time: build_share + q.quantification_time,
-            cutset: cutset.clone(),
-        })
-        .collect();
-    Ok((reports, usage))
-}
-
-/// What [`quantify_all_multi`] hands back: per-horizon reports, cache
-/// statistics, aggregated kernel usage, and worker busy seconds.
-type QuantifyOutcome = (Vec<Vec<CutsetReport>>, CacheStats, KernelUsage, Duration);
-
-/// Quantify every cutset at every horizon, fanning the work out over a
-/// thread pool fed by a shared atomic work queue (quantifications are
-/// independent; the paper notes this parallelism extends to
-/// importance/uncertainty re-evaluations).
-///
-/// The work distribution is dedup-then-fan-out: every worker consults
-/// the shared [`QuantCache`], so structurally identical cutset models
-/// are uniformized exactly once (the first cutset of a class solves it,
-/// the rest re-label the shared dynamic factors with their own static
-/// factor). Each model's product chain is built once and shared across
-/// all horizons through a single uniformization pass.
-///
-/// On the first error the queue aborts: workers stop claiming cutsets
-/// at their next iteration and the smallest-index error is returned
-/// (deterministic regardless of scheduling).
-fn quantify_all_multi(
-    tree: &FaultTree,
-    ctx: &FtcContext,
-    cutsets: &sdft_ft::CutsetList,
-    horizons: &[f64],
-    options: &AnalysisOptions,
-    probs_per_horizon: &[EventProbabilities],
-) -> Result<QuantifyOutcome, CoreError> {
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        options.threads
-    };
-    let qopts = QuantifyOptions {
-        horizon: horizons[0],
-        epsilon: options.epsilon,
-        max_states: options.max_chain_states,
-        treatment: options.treatment,
-        steady_state_detection: options.steady_state_detection,
-    };
-    let cache = options.cache.then(QuantCache::new);
-    let work: Vec<&Cutset> = cutsets.iter().collect();
-
-    // One result per (cutset, horizon). Model construction is shared by
-    // every horizon and split evenly; the solve cost is attributed per
-    // horizon by the quantifier (zero on cache hits). Each worker owns
-    // one kernel workspace, so solver buffers are allocated once per
-    // thread rather than once per solve. Kernel usage is attributed to
-    // the call that solved a class (zero on hits), so summing it over
-    // workers is deterministic regardless of scheduling.
-    let quantify_one = |cutset: &Cutset,
-                        workspace: &mut SolverWorkspace|
-     -> Result<(Vec<CutsetReport>, KernelUsage), CoreError> {
-        quantify_cutset_at_horizons(
-            tree,
-            ctx,
-            cutset,
-            horizons,
-            &qopts,
-            cache.as_ref(),
-            probs_per_horizon,
-            workspace,
-        )
-    };
-
-    let mut out: Vec<Vec<CutsetReport>> = (0..horizons.len())
-        .map(|_| Vec::with_capacity(cutsets.len()))
-        .collect();
-
-    if threads <= 1 {
-        let busy_begin = Instant::now();
-        let mut workspace = SolverWorkspace::new();
-        let mut total_usage = KernelUsage::default();
-        for &cutset in &work {
-            let (reports, usage) = quantify_one(cutset, &mut workspace)?;
-            total_usage.absorb(usage);
-            for (h, report) in reports.into_iter().enumerate() {
-                out[h].push(report);
-            }
-        }
-        let stats = cache.as_ref().map(QuantCache::stats).unwrap_or_default();
-        return Ok((out, stats, total_usage, busy_begin.elapsed()));
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let (produced, total_usage, total_busy) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let next = &next;
-            let abort = &abort;
-            let work = &work;
-            let quantify_one = &quantify_one;
-            handles.push(scope.spawn(move || {
-                let busy_begin = Instant::now();
-                let mut workspace = SolverWorkspace::new();
-                let mut local: Vec<(usize, Vec<CutsetReport>)> = Vec::new();
-                let mut local_usage = KernelUsage::default();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&cutset) = work.get(index) else {
-                        break;
-                    };
-                    match quantify_one(cutset, &mut workspace) {
-                        Ok((reports, usage)) => {
-                            local_usage.absorb(usage);
-                            local.push((index, reports));
-                        }
-                        Err(error) => {
-                            // Stop the other workers at their next claim.
-                            abort.store(true, Ordering::Relaxed);
-                            return Err((index, error));
-                        }
-                    }
-                }
-                Ok((local, local_usage, busy_begin.elapsed()))
-            }));
-        }
-        let mut produced: Vec<(usize, Vec<CutsetReport>)> = Vec::with_capacity(work.len());
-        let mut total_usage = KernelUsage::default();
-        let mut total_busy = Duration::ZERO;
-        let mut first_error: Option<(usize, CoreError)> = None;
-        for handle in handles {
-            match handle.join().expect("worker does not panic") {
-                Ok((local, local_usage, busy)) => {
-                    produced.extend(local);
-                    total_usage.absorb(local_usage);
-                    total_busy += busy;
-                }
-                Err((index, error)) => {
-                    if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                        first_error = Some((index, error));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some((_, error)) => Err(error),
-            None => Ok((produced, total_usage, total_busy)),
-        }
-    })?;
-
-    // Merge in cutset order so report order is deterministic.
-    let mut produced = produced;
-    produced.sort_unstable_by_key(|&(index, _)| index);
-    for (_, reports) in produced {
-        for (h, report) in reports.into_iter().enumerate() {
-            out[h].push(report);
-        }
-    }
-    let stats = cache.as_ref().map(QuantCache::stats).unwrap_or_default();
-    Ok((out, stats, total_usage, total_busy))
 }
 
 #[cfg(test)]
@@ -1406,27 +1066,29 @@ mod streaming_tests {
     #[test]
     fn generation_budget_errors_propagate_through_all_stages() {
         let t = example3();
-        for threads in [1, 4] {
-            let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
-            opts.threads = threads;
-            opts.mocus.max_cutsets = 2;
-            assert!(matches!(
-                analyze(&t, &opts),
-                Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyCutsets {
-                    limit: 2
-                }))
-            ));
-            let mut opts = AnalysisOptions::new(24.0);
-            opts.streaming = true;
-            opts.threads = threads;
-            opts.mocus.max_partials = 1;
-            assert!(matches!(
-                analyze(&t, &opts),
-                Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyPartials {
-                    limit: 1
-                }))
-            ));
+        for streaming in [true, false] {
+            for threads in [1, 4] {
+                let mut opts = AnalysisOptions::new(24.0);
+                opts.streaming = streaming;
+                opts.threads = threads;
+                opts.mocus.max_cutsets = 2;
+                assert!(matches!(
+                    analyze(&t, &opts),
+                    Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyCutsets {
+                        limit: 2
+                    }))
+                ));
+                let mut opts = AnalysisOptions::new(24.0);
+                opts.streaming = streaming;
+                opts.threads = threads;
+                opts.mocus.max_partials = 1;
+                assert!(matches!(
+                    analyze(&t, &opts),
+                    Err(CoreError::Mocus(sdft_mocus::MocusError::TooManyPartials {
+                        limit: 1
+                    }))
+                ));
+            }
         }
     }
 
@@ -1448,7 +1110,8 @@ mod streaming_tests {
             );
             // The same failure under batch, for parity.
             opts.streaming = false;
-            assert!(matches!(analyze(&t, &opts), Err(CoreError::Product(_))));
+            let batch_error = analyze(&t, &opts).unwrap_err();
+            assert_eq!(batch_error.to_string(), error.to_string());
         }
     }
 }

@@ -66,7 +66,8 @@ pub struct CutsetQuantification {
 
 /// Quantify one minimal cutset: build `FT_C`, run the transient analysis
 /// on its (small) product chain, and multiply by the cutset's static
-/// probabilities (§V-C).
+/// probabilities (§V-C). The same solve the analysis pipeline runs per
+/// cutset, without the cache, at the single horizon `options.horizon`.
 ///
 /// # Errors
 ///
@@ -84,53 +85,16 @@ pub fn quantify_cutset(
         });
     }
     let model = build_ftc_with(tree, ctx, cutset, options.treatment)?;
-    quantify_model(tree, &model, options)
-}
-
-/// Quantify a prebuilt cutset model (exposed so the analysis pipeline can
-/// reuse the model for reporting).
-///
-/// # Errors
-///
-/// Same as [`quantify_cutset`].
-pub fn quantify_model(
-    tree: &FaultTree,
-    model: &CutsetModel,
-    options: &QuantifyOptions,
-) -> Result<CutsetQuantification, CoreError> {
-    let static_factor: f64 = model
-        .static_events
-        .iter()
-        .map(|&e| tree.static_probability(e).expect("static event"))
-        .product();
-    let (dynamic_factor, chain_states) = match &model.tree {
-        None => (1.0, 0),
-        Some(ftc) => {
-            if static_factor == 0.0 {
-                (0.0, 0) // conditioned out: the cutset cannot occur
-            } else {
-                let chain = ProductChain::build(
-                    ftc,
-                    &ProductOptions {
-                        max_states: options.max_states,
-                    },
-                )?;
-                let p = chain.failure_probability(options.horizon, options.epsilon)?;
-                (p, chain.num_states())
-            }
-        }
-    };
-    Ok(CutsetQuantification {
-        probability: static_factor * dynamic_factor,
-        static_factor,
-        dynamic_factor,
-        cutset_dynamic: model.dynamic_events.len(),
-        added_dynamic: model.added_dynamic,
-        added_static: model.added_static,
-        chain_states,
-        used_general: model.used_general,
-        quantification_time: Duration::ZERO,
-    })
+    let mut workspace = SolverWorkspace::new();
+    let (mut quantified, _, _) = quantify_model_many_with(
+        tree,
+        &model,
+        &[options.horizon],
+        options,
+        None,
+        &mut workspace,
+    )?;
+    Ok(quantified.pop().expect("one horizon, one quantification"))
 }
 
 /// Solve the dynamics of one model equivalence class: build the product
@@ -192,26 +156,6 @@ fn attribute_cost(total: Duration, per_horizon_steps: &[usize]) -> Vec<Duration>
         .collect()
 }
 
-/// Quantify a prebuilt cutset model at several horizons, building its
-/// product chain once and running a single shared uniformization pass
-/// (see [`sdft_ctmc::reach_probability_many`]). Results follow the order
-/// of `horizons`; `options.horizon` is ignored in favour of them.
-///
-/// # Errors
-///
-/// Same as [`quantify_model`], plus an error for an empty or invalid
-/// horizon list.
-pub fn quantify_model_many(
-    tree: &FaultTree,
-    model: &CutsetModel,
-    horizons: &[f64],
-    options: &QuantifyOptions,
-) -> Result<Vec<CutsetQuantification>, CoreError> {
-    let mut workspace = SolverWorkspace::new();
-    quantify_model_many_with(tree, model, horizons, options, None, &mut workspace)
-        .map(|(q, _, _)| q)
-}
-
 /// How a [`quantify_model_many_with`] call was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheLookup {
@@ -249,10 +193,15 @@ impl KernelUsage {
     }
 }
 
-/// Like [`quantify_model_many`], consulting `cache` (when given) so that
-/// each model equivalence class is uniformized exactly once: the first
-/// cutset of a class solves it, every later cutset re-labels the shared
-/// dynamic factors with its own static factor `∏ p(a)`.
+/// Quantify a prebuilt cutset model at several horizons, building its
+/// product chain once and running a single shared uniformization pass
+/// (see [`sdft_ctmc::reach_probability_many`]). Results follow the order
+/// of `horizons`; `options.horizon` is ignored in favour of them.
+///
+/// `cache` (when given) is consulted so that each model equivalence
+/// class is uniformized exactly once: the first cutset of a class
+/// solves it, every later cutset re-labels the shared dynamic factors
+/// with its own static factor `∏ p(a)`.
 ///
 /// Cached and uncached paths produce bitwise-identical probabilities —
 /// equal [`crate::CanonicalModelKey`]s imply identical model trees, and
@@ -261,8 +210,10 @@ impl KernelUsage {
 ///
 /// # Errors
 ///
-/// Same as [`quantify_model_many`]. Errors are cached per class too, so a
-/// failing class is attempted once and its error shared.
+/// Returns an error if the horizon list is empty, or if the model's
+/// product chain exceeds the state budget or its solve rejects a
+/// horizon. Errors are cached per class too, so a failing class is
+/// attempted once and its error shared.
 pub fn quantify_model_many_with(
     tree: &FaultTree,
     model: &CutsetModel,

@@ -115,6 +115,35 @@ fn per_cutset_quantification_matches_exact_reference() {
 }
 
 #[test]
+fn quantify_cutset_matches_analyze_bitwise() {
+    // The public per-cutset entry point runs the same solve as the
+    // analysis, so it must honour steady-state detection exactly as
+    // `analyze` does. At h = 1000 detection fires on the dynamic cutsets.
+    let t = example3();
+    let ctx = sdft_core::FtcContext::new(&t).unwrap();
+    for steady_state_detection in [true, false] {
+        let mut opts = AnalysisOptions::new(1000.0);
+        opts.steady_state_detection = steady_state_detection;
+        let result = analyze(&t, &opts).unwrap();
+        let mut qopts = QuantifyOptions::new(1000.0);
+        qopts.steady_state_detection = steady_state_detection;
+        assert_eq!(result.cutsets.len(), 5);
+        for report in &result.cutsets {
+            let q = quantify_cutset(&t, &ctx, &report.cutset, &qopts).unwrap();
+            assert_eq!(
+                q.probability.to_bits(),
+                report.probability.to_bits(),
+                "cutset {:?}, steady-state detection {steady_state_detection}: {} vs {}",
+                report.cutset.events(),
+                q.probability,
+                report.probability
+            );
+            assert_eq!(q.chain_states, report.chain_states);
+        }
+    }
+}
+
+#[test]
 fn general_case_quantification_is_exact() {
     // Trigger gate = OR(AND(b, dstat), b2): the general case keeps every
     // subtree event, so p̃({e}) must equal the exact reference.

@@ -262,9 +262,6 @@ fn analysis_options(args: &Args) -> AnalysisOptions {
     options.steady_state_detection = args.steady_state;
     options.streaming = args.streaming;
     options.progress = args.progress.map(std::time::Duration::from_secs_f64);
-    if options.progress.is_some() && !options.streaming {
-        eprintln!("note: --progress reports the streaming engine; ignored with --no-stream");
-    }
     if let Some(enabled) = args.sift {
         options.bdd.sift.enabled = enabled;
     }
